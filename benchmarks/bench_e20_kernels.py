@@ -264,7 +264,7 @@ def test_e20_kernels():
             "retires in a handful of early-exit compares either way).  "
             "Tree nodes stay on the fused tier — its exact early exits "
             "are data-adaptive, so the numpy tier only engages on 256+ "
-            "row pages (wide scans, arena sidecars).  Machine-readable "
+            "row pages (wide scans).  Machine-readable "
             "copy: `" + os.path.basename(path) + "` (key `E20`, "
             "`kernel_speedup_ratio` gated by check_regression.py).",
         ],

@@ -7,17 +7,13 @@ Compares a current perf artifact against a baseline copy and fails
   ``filtered_qps``) drops by more than ``--max-drop`` (default 25%);
 * any ``p99_ms`` latency inflates by more than ``--max-inflation``
   (default 25%);
-* any pooled-serving overhead-reduction ratio (E18's
-  ``overhead_reduction`` / ``attach_reduction`` — how many times
-  cheaper the shm transport's dispatch+attach+deserialize tax is than
-  the pickle pool's) shrinks by more than ``--max-ratio-drop``
-  (default 50%; ratios of two small timings are the noisiest metrics
-  in the file, but the E17 cliff was a ~30x effect — losing half the
-  win is a structural regression, not jitter);
-* E20's ``kernel_speedup_ratio`` (columnar over scalar kernel qps,
-  measured in-process so it is machine-noise-free) gates the same way:
-  it falling toward 1.0 means the vectorized page kernels stopped
-  paying for themselves.
+* any ratio metric shrinks by more than ``--max-ratio-drop`` (default
+  50%; ratios of two timings are the noisiest metrics in the file, so
+  only losing half of one counts as a structural regression): E19's
+  ``supervised_qps_ratio`` (supervision's fault-free throughput tax)
+  and E20's ``kernel_speedup_ratio`` (columnar over scalar kernel qps,
+  measured in-process) — the latter falling toward 1.0 means the
+  vectorized page kernels stopped paying for themselves.
 
 Experiments that stamp ``cpu_count`` (or ``cores``) report single-core
 runs explicitly — E18/E19's multi-core scaling gates disarm there, and
@@ -63,14 +59,13 @@ QPS_KEYS = ("queries_per_s", "queries_per_sec", "filtered_qps",
 #: — gates like a tail latency: recovery slowing past tolerance is an
 #: availability regression even when steady-state qps holds.
 P99_KEYS = ("p99_ms", "batch_p99_ms", "mttr_ms")
-#: Leaf keys read as overhead-reduction ratios (higher is better, noisy).
+#: Leaf keys read as ratios (higher is better, noisy).
 #: ``supervised_qps_ratio`` (E19) is supervised/unsupervised fault-free
 #: throughput — near 1.0 by design; losing half of it means supervision
 #: started taxing the healthy path.
 #: ``kernel_speedup_ratio`` (E20) is columnar/scalar kernel throughput,
 #: timed back to back in one process — the least noisy ratio here.
-RATIO_KEYS = ("overhead_reduction", "attach_reduction",
-              "supervised_qps_ratio", "kernel_speedup_ratio")
+RATIO_KEYS = ("supervised_qps_ratio", "kernel_speedup_ratio")
 #: Per-run bookkeeping stamps — never metrics.
 SKIP_KEYS = ("commit", "generated_at")
 
@@ -247,7 +242,7 @@ def main(argv=None) -> int:
         print(f"# {verdict['checked']} gated metrics compared "
               f"(drop tolerance {max_drop:.0%}, "
               f"p99 inflation tolerance {max_inflation:.0%}, "
-              f"overhead-ratio drop tolerance {max_ratio_drop:.0%})")
+              f"ratio drop tolerance {max_ratio_drop:.0%})")
         for key in verdict["baseline_only"]:
             print(f"# baseline-only (not gated): {key}")
         for key in verdict["current_only"]:

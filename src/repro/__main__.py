@@ -38,8 +38,8 @@ Commands
                     queries/sec, latency percentiles, the cross-process
                     phase decomposition and per-shard I/O (``--shards K``,
                     ``--workers W`` — 0 means in-process synchronous,
-                    ``--transport shm|pickle`` — zero-copy shared-memory
-                    arenas (default) vs per-process snapshot open,
+                    W > 0 serves through W worker processes attached
+                    to shared-memory shard arenas,
                     ``--cache-pages N`` to bound each worker's
                     decoded-page LRU,
                     ``--segments N`` to size the generated workload,
@@ -56,8 +56,8 @@ Commands
                     admission control; prints a JSON ready line with the
                     bound port, then serves until SIGTERM/SIGINT and
                     exits 0 with a JSON drain report (``--workers W``,
-                    ``--transport shm|pickle``, ``--cache-pages N`` to
-                    bound each worker's decoded-page LRU, ``--host H``,
+                    ``--cache-pages N`` to bound each worker's
+                    decoded-page LRU, ``--host H``,
                     ``--port P`` — 0 picks a free port, ``--max-pending``
                     / ``--max-batch`` / ``--window-ms`` for the batcher,
                     ``--dir PATH`` to keep a generated snapshot)
@@ -140,7 +140,7 @@ _FLOAT_FLAGS = ("--read-err", "--corrupt-rate", "--torn", "--slow-ms",
                 "--deadline-ms", "--kill-rate", "--frame-corrupt",
                 "--frame-truncate", "--frame-delay", "--conn-reset")
 _STR_FLAGS = ("--engine", "--dump-schedule", "--dir", "--trace", "--out",
-              "--transport", "--host")
+              "--host")
 
 
 def _pop_flags(args):
@@ -152,7 +152,7 @@ def _pop_flags(args):
              "read-err": 0.0, "corrupt-rate": 0.0, "torn": 0.0,
              "dump-schedule": None, "shards": 2, "workers": 0,
              "segments": 0, "dir": None, "trace": None, "out": None,
-             "slow-ms": None, "transport": "shm", "cache-pages": None,
+             "slow-ms": None, "cache-pages": None,
              "host": "127.0.0.1", "port": 0, "max-pending": 64,
              "max-batch": 64, "window-ms": 2.0,
              "connect-timeout": 5.0, "request-timeout": 30.0,
@@ -566,7 +566,6 @@ def _run_serve_bench(positional, flags) -> int:
         served = stack.enter_context(ShardedSegmentDatabase.open(
             directory, workers=flags["workers"],
             buffer_pages=flags["buffer"], slow_query_s=slow_s,
-            transport=flags["transport"],
             cache_pages=flags["cache-pages"]))
         open_s = time.perf_counter() - t0
 
@@ -704,7 +703,7 @@ def cmd_serve(args) -> int:
         return 2
     if len(positional) > 1:
         print("usage: python -m repro serve [DIR|FILE] [--workers W] "
-              "[--transport shm|pickle] [--cache-pages N] [--shards K] "
+              "[--cache-pages N] [--shards K] "
               "[--segments N] [--engine NAME] [--buffer N] [--block B] "
               "[--host H] [--port P] [--max-pending N] [--max-batch N] "
               "[--window-ms T] [--slow-ms T] [--dir PATH] [--seed S]",
@@ -724,7 +723,6 @@ def cmd_serve(args) -> int:
         served = stack.enter_context(ShardedSegmentDatabase.open(
             directory, workers=flags["workers"],
             buffer_pages=flags["buffer"], slow_query_s=slow_s,
-            transport=flags["transport"],
             cache_pages=flags["cache-pages"]))
         daemon = ServeDaemon(
             served, host=flags["host"], port=flags["port"],
@@ -741,8 +739,6 @@ def cmd_serve(args) -> int:
                 "snapshot": directory,
                 "shards": served.shard_count,
                 "workers": flags["workers"],
-                "transport": (served._pool.transport
-                              if served._pool is not None else "sync"),
             }), flush=True)
 
         threading.Thread(target=announce, daemon=True).start()
@@ -875,8 +871,7 @@ def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
     wrong_queries = []
     batch_size = flags["batch-size"] or 8
     with ShardedSegmentDatabase.open(
-            directory, workers=flags["workers"],
-            transport=flags["transport"], supervisor=policy,
+            directory, workers=flags["workers"], supervisor=policy,
             chaos=kill_schedule) as served:
         daemon = ServeDaemon(served, port=0,
                              batch_window_s=flags["window-ms"] / 1000.0)

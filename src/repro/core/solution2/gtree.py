@@ -388,21 +388,6 @@ class GTree:
                              results, seen, cache)
         return results
 
-    def query_group(
-        self, windows: Sequence[Tuple], use_bridges: bool = True
-    ) -> List[List[LongFragment]]:
-        """Answer many ``(x0, ylo, yhi)`` windows with one directory read.
-
-        The per-window path searches (B+-tree descents, cascade hops and
-        reporting scans) remain individual — only the directory decode is
-        amortized, mirroring the shared-descent argument at this level.
-        """
-        nodes = self._read_nodes_cached()
-        return [
-            self.query_cached(nodes, x0, ylo, yhi, use_bridges=use_bridges)
-            for x0, ylo, yhi in windows
-        ]
-
     def _query_path(
         self, nodes, k: int, x0, ylo, yhi, use_bridges: bool, qballs: Tuple,
         results: List[LongFragment], seen: set,

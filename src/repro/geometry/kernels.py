@@ -73,12 +73,8 @@ MIN_ROWS = 4
 #: cheap compare, while the array expressions pay the full certified
 #: filter on every row.  In-engine A/B on the E20 workload puts the
 #: realistic crossover past 128-row pages, so the threshold sits at 256
-#: — wide scan/sidecar pages vectorize, tree nodes stay fused.
+#: — wide scan pages vectorize, tree nodes stay fused.
 NUMPY_MIN_ROWS = 256
-
-#: Row count at and above which a page's columns are worth mirroring
-#: into an arena sidecar (the numpy tier's zero-copy attach path).
-SIDECAR_MIN_ROWS = 8
 
 #: Classification codes (:func:`classify_page`), matching the order of
 #: the string constants in ``core.linebased.search``.
@@ -182,27 +178,6 @@ class SegColumns:
         return cls(n, sx, esx, sy, esy, dx, edx, dy, edy,
                    xmax, exmax, ey, eey, valid, vertical)
 
-    @classmethod
-    def from_arrays(cls, mat, valid, vertical) -> "SegColumns":
-        """Attach over an existing ``(n, 8)`` fp matrix (arena decode)."""
-        n = mat.shape[0]
-        sx, esx = mat[:, 0], mat[:, 1]
-        sy, esy = mat[:, 2], mat[:, 3]
-        dx, edx = mat[:, 4], mat[:, 5]
-        dy, edy = mat[:, 6], mat[:, 7]
-        with np.errstate(over="ignore", invalid="ignore"):
-            xmax = sx + dx
-            exmax = esx + edx + np.abs(xmax) * _EPS
-            ey = sy + dy
-            eey = esy + edy + np.abs(ey) * _EPS
-        return cls(n, sx, esx, sy, esy, dx, edx, dy, edy,
-                   xmax, exmax, ey, eey, valid, vertical)
-
-    def fp_matrix(self):
-        """The raw ``(n, 8)`` fp matrix (arena encode)."""
-        return np.column_stack((self.sx, self.esx, self.sy, self.esy,
-                                self.dx, self.edx, self.dy, self.edy))
-
     def take(self, idx) -> "SegColumns":
         """Row-subset gather (label-deduped / bbox-prefiltered scans)."""
         return SegColumns(
@@ -234,15 +209,6 @@ class LBColumns:
         valid = np.array([s._fp is not None for s in items], dtype=bool)
         return cls(n, mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3],
                    mat[:, 4], mat[:, 5], valid)
-
-    @classmethod
-    def from_arrays(cls, mat, valid) -> "LBColumns":
-        return cls(mat.shape[0], mat[:, 0], mat[:, 1], mat[:, 2],
-                   mat[:, 3], mat[:, 4], mat[:, 5], valid)
-
-    def fp_matrix(self):
-        return np.column_stack((self.u0, self.eu0, self.du, self.edu,
-                                self.h1, self.eh1))
 
 
 class GKeyColumns:
@@ -283,15 +249,6 @@ class GKeyColumns:
         valid = np.array(valid_rows, dtype=bool)
         return cls(n, mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3],
                    mat[:, 4], mat[:, 5], mat[:, 6], mat[:, 7], valid)
-
-    @classmethod
-    def from_arrays(cls, mat, valid) -> "GKeyColumns":
-        return cls(mat.shape[0], mat[:, 0], mat[:, 1], mat[:, 2], mat[:, 3],
-                   mat[:, 4], mat[:, 5], mat[:, 6], mat[:, 7], valid)
-
-    def fp_matrix(self):
-        return np.column_stack((self.yl, self.eyl, self.xl, self.exl,
-                                self.yr, self.eyr, self.xr, self.exr))
 
 
 def segment_columns(page, items: Sequence) -> "SegColumns":
@@ -535,16 +492,6 @@ def intersect_rows(items: Sequence, query, cols: Optional["SegColumns"],
                     alive[i] = False
         result |= alive
         return result
-
-
-def page_intersect_rows(page, query, items: Optional[Sequence] = None
-                        ) -> Optional[Any]:
-    """:func:`intersect_rows` with the columns cached on ``page``."""
-    if items is None:
-        items = page.items
-    if not vectorized_enabled() or not HAVE_NUMPY or len(items) < MIN_ROWS:
-        return None
-    return intersect_rows(items, query, segment_columns(page, items))
 
 
 def page_query_hits(page, query, items: Optional[Sequence] = None) -> list:
@@ -816,18 +763,6 @@ def classify_rows(items: Sequence, query, cols: Optional["LBColumns"]
                     right[i] = True
             codes[right] = RIGHT
         return codes
-
-
-def page_classify_rows(page, query, items: Optional[Sequence] = None
-                       ) -> Optional[Any]:
-    """numpy-tier :func:`classify_rows` with the columns cached on
-    ``page`` (kept for direct kernel tests; engines use
-    :func:`page_classify_summary`)."""
-    if items is None:
-        items = page.items
-    if not vectorized_enabled() or not HAVE_NUMPY or len(items) < MIN_ROWS:
-        return None
-    return classify_rows(items, query, lb_columns(page, items))
 
 
 def page_classify_summary(page, query, items: Optional[Sequence] = None

@@ -1,13 +1,13 @@
 """Flat page arenas: a whole page store as one contiguous byte region.
 
-The PR 5 snapshot pickles every page into a single object graph, which
-makes *opening* a snapshot an O(n) deserialization — fine for one
-process, fatal for a worker pool where every process pays it again (the
-E17 serving cliff).  The arena format applies the external-memory
-discipline of the related DAM-structure work (Iacono–Karsin–Koumoutsos)
-to the transfer path itself: the layout on the wire *is* the layout in
-memory.  All pages are serialized into one contiguous region fronted by
-a fixed-width offset/length/fingerprint table, so a consumer can
+A single pickled object graph makes *opening* a snapshot an O(n)
+deserialization — fine for one process, fatal for a worker pool where
+every process would pay it again.  The arena format applies the
+external-memory discipline of the related DAM-structure work
+(Iacono–Karsin–Koumoutsos) to the transfer path itself: the layout on
+the wire *is* the layout in memory.  All pages are serialized into one
+contiguous region fronted by a fixed-width offset/length/fingerprint
+table, so a consumer can
 
 * attach in O(1) — parse a 40-byte header and slice a table, no
   per-page work;
@@ -23,7 +23,7 @@ Layout (all integers big-endian, offsets relative to arena start)::
 
     offset  size  field
     0       8     magic  b"RPRARENA"
-    8       4     arena version (currently 2; 1 still reads)
+    8       4     arena version (1)
     12      4     block capacity (the paper's B)
     16      8     allocator cursor (next page id)
     24      8     page count P
@@ -31,27 +31,12 @@ Layout (all integers big-endian, offsets relative to arena start)::
     40      M     pickled metadata dict
     40+M    28*P  page table, ascending page id:
                     id (8) | offset (8) | length (8) | fingerprint (4)
-    ...           page blobs (8-aligned in version 2)
+    ...           page blobs, back to back
 
-A version-1 page blob is ``pickle((items, header))`` and nothing else.
-A version-2 blob prefixes that pickle with a *columnar sidecar* so a
-shm worker can attach the page's scan columns (see
-:mod:`repro.geometry.kernels`) zero-copy, without rebuilding them from
-the decoded Python objects::
-
-    offset  size       field
-    0       16         sidecar header: kind (1) | reserved (1) |
-                       rows (2) | ncols (4) | pickle length (8)
-    16      8*R*C      float64 column matrix, row-major, little-endian
-    16+F    R..2R      per-row flag bytes (valid; + vertical for kind 1)
-    ...                pickle of (items, header)
-
-``kind`` is 0 (no sidecar: rows and ncols are then 0), 1 (plane
-segments: the 8 ``segment_fp`` columns + valid/vertical flags), 2
-(line-based PST rows: the 6 ``lb_fp`` columns + valid) or 3 (G-tree
-key rows: 8 endpoint-ball columns + valid).  The table fingerprint
-still covers the decoded ``(items, header)`` content only — the
-sidecar is derived data, and a decoder is always free to ignore it.
+A page blob is ``pickle((items, header))`` and nothing else; an arena of
+any other version is rejected.  A decoded page owns its items outright —
+nothing in it refers back into the arena's buffer — so a shared-memory
+mapping can close while decoded pages are still in use.
 
 Every malformed-input path raises a typed
 :class:`~repro.iosim.errors.SnapshotFormatError` — truncation, a table
@@ -81,25 +66,12 @@ from .faults import page_fingerprint
 from .page import Page
 
 ARENA_MAGIC = b"RPRARENA"
-ARENA_VERSION = 2
-#: versions this build can read (writes are always ARENA_VERSION)
-SUPPORTED_ARENA_VERSIONS = (1, 2)
+ARENA_VERSION = 1
 
 #: magic, version, block capacity, next page id, page count, meta length
 _ARENA_HEADER = struct.Struct(">8sIIQQQ")
 #: page id, offset, length, fingerprint
 _TABLE_ENTRY = struct.Struct(">QQQI")
-#: v2 per-blob sidecar header: kind, reserved, rows, ncols, pickle length
-_BLOB_HEADER = struct.Struct(">BBHIQ")
-
-#: sidecar kinds (see the module docstring)
-KIND_NONE, KIND_SEG, KIND_LB, KIND_GKEY = 0, 1, 2, 3
-#: kind -> (page-cache tag, float columns, flag columns)
-_KIND_SPECS = {
-    KIND_SEG: ("seg", 8, 2),     # valid + vertical
-    KIND_LB: ("lb", 6, 1),       # valid
-    KIND_GKEY: ("gkey", 8, 1),   # valid
-}
 
 
 # ----------------------------------------------------------------------
@@ -131,102 +103,30 @@ def restricted_loads(payload: Union[bytes, memoryview], buffers=None):
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def _sidecar_columns(page: Page):
-    """``(kind, columns)`` for a page whose payload has a columnar mirror.
-
-    Kind detection happens at *encode* time by item type, so the arena
-    builder needs no cooperation from the engines.  Imports are lazy:
-    ``iosim`` must not import ``core`` at module level (``gtree`` imports
-    from ``iosim``).
-    """
-    from ..geometry import kernels
-
-    items = page.items
-    if (not kernels.HAVE_NUMPY or len(items) < kernels.SIDECAR_MIN_ROWS
-            or len(items) > 0xFFFF):
-        return KIND_NONE, None
-    from ..geometry.linebased import LineBasedSegment
-    from ..geometry.segment import Segment
-
-    first = items[0]
-    try:
-        if isinstance(first, Segment):
-            if all(isinstance(s, Segment) for s in items):
-                return KIND_SEG, kernels.segment_columns(page, items)
-        elif isinstance(first, LineBasedSegment):
-            if all(isinstance(s, LineBasedSegment) for s in items):
-                return KIND_LB, kernels.lb_columns(page, items)
-        elif (isinstance(first, tuple) and len(first) == 2
-              and isinstance(first[0], tuple) and len(first[0]) == 5):
-            from ..core.solution2.gtree import GEntry
-
-            if all(isinstance(e, tuple) and len(e) == 2
-                   and isinstance(e[1], GEntry) for e in items):
-                return KIND_GKEY, kernels.gkey_columns(page, items)
-    except Exception:
-        # A sidecar is an optimization, never a correctness requirement:
-        # any build hiccup just means this page ships without one.
-        return KIND_NONE, None
-    return KIND_NONE, None
-
-
-def encode_page(page: Page) -> bytes:
-    """One page's independent v2 blob: sidecar header [+ columns] + pickle."""
-    payload = pickle.dumps((page.items, page.header),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-    kind, cols = _sidecar_columns(page)
-    if kind == KIND_NONE:
-        return _BLOB_HEADER.pack(KIND_NONE, 0, 0, 0, len(payload)) + payload
-    import numpy as np
-
-    _tag, ncols, nflags = _KIND_SPECS[kind]
-    mat = np.ascontiguousarray(cols.fp_matrix(), dtype="<f8")
-    flags = [np.ascontiguousarray(cols.valid, dtype=np.bool_)]
-    if kind == KIND_SEG:
-        flags.append(np.ascontiguousarray(cols.vertical, dtype=np.bool_))
-    assert len(flags) == nflags and mat.shape == (cols.n, ncols)
-    out = bytearray()
-    out += _BLOB_HEADER.pack(kind, 0, cols.n, ncols, len(payload))
-    out += mat.tobytes()
-    for flag in flags:
-        out += flag.tobytes()
-    out += payload
-    return bytes(out)
-
-
 def build_arena(device: BlockDevice, meta: Dict[str, Any]) -> bytes:
     """Serialize ``device``'s live pages plus ``meta`` into one arena.
 
     Pages are laid out in ascending id order; the table is fixed-width so
-    a reader can binary-search it without decoding anything.  Unlike the
-    v1 object-graph pickle, each page is encoded independently: items
-    shared *between* pages are duplicated on decode (identity within a
-    page is preserved).  Content equality — and therefore results and
-    per-query I/O — is unaffected.
+    a reader can binary-search it without decoding anything.  Each page
+    is encoded independently: items shared *between* pages are
+    duplicated on decode (identity within a page is preserved).  Content
+    equality — and therefore results and per-query I/O — is unaffected.
     """
     pages = sorted(device.iter_pages(), key=lambda p: p.page_id)
     meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-    blobs = [encode_page(p) for p in pages]
-    table_size = _TABLE_ENTRY.size * len(pages)
-    data_start = _ARENA_HEADER.size + len(meta_blob) + table_size
+    blobs = [pickle.dumps((p.items, p.header),
+                          protocol=pickle.HIGHEST_PROTOCOL) for p in pages]
     out = bytearray()
     out += _ARENA_HEADER.pack(ARENA_MAGIC, ARENA_VERSION,
                               device.block_capacity, device._next_id,
                               len(pages), len(meta_blob))
     out += meta_blob
-    # Each blob starts 8-aligned so a sidecar's float64 matrix (16 bytes
-    # into the blob) can be attached as an aligned zero-copy array.
-    offset = data_start
-    pads = []
+    offset = len(out) + _TABLE_ENTRY.size * len(pages)
     for page, blob in zip(pages, blobs):
-        pad = (-offset) % 8
-        offset += pad
-        pads.append(pad)
         out += _TABLE_ENTRY.pack(page.page_id, offset, len(blob),
                                  page_fingerprint(page))
         offset += len(blob)
-    for pad, blob in zip(pads, blobs):
-        out += b"\x00" * pad
+    for blob in blobs:
         out += blob
     return bytes(out)
 
@@ -247,7 +147,7 @@ class ArenaView:
     views keep a POSIX shm mapping alive).
     """
 
-    __slots__ = ("source", "_buf", "version", "block_capacity", "next_id",
+    __slots__ = ("source", "_buf", "block_capacity", "next_id",
                  "page_count", "_meta_blob", "_table", "_entries", "_meta")
 
     def __init__(self, buf: Union[bytes, memoryview], source: str = "<arena>"):
@@ -263,12 +163,10 @@ class ArenaView:
         if magic != ARENA_MAGIC:
             raise SnapshotFormatError(
                 source, f"bad arena magic {bytes(magic)!r}")
-        if version not in SUPPORTED_ARENA_VERSIONS:
+        if version != ARENA_VERSION:
             raise SnapshotFormatError(
                 source, f"unsupported arena version {version} (this build "
-                        f"reads versions "
-                        f"{', '.join(map(str, SUPPORTED_ARENA_VERSIONS))})")
-        self.version = version
+                        f"reads version {ARENA_VERSION})")
         table_start = _ARENA_HEADER.size + meta_len
         data_start = table_start + _TABLE_ENTRY.size * count
         if data_start > n:
@@ -335,15 +233,8 @@ class ArenaView:
             raise SnapshotFormatError(
                 self.source, f"page {page_id}: not in the arena table"
             ) from None
-        sidecar = None
-        if self.version == 1:
-            pickle_view = self._buf[offset:offset + length]
-        else:
-            pickle_view, sidecar = self._parse_sidecar(page_id, offset, length)
         try:
-            items, header = restricted_loads(pickle_view)
-        except SnapshotFormatError:
-            raise
+            items, header = restricted_loads(self._buf[offset:offset + length])
         except Exception as exc:
             raise SnapshotFormatError(
                 self.source, f"page {page_id}: undecodable blob: {exc}"
@@ -354,88 +245,13 @@ class ArenaView:
         if page_fingerprint(page) != expected:
             raise SnapshotFormatError(
                 self.source, f"page {page_id}: checksum mismatch")
-        if sidecar is not None:
-            self._attach_columns(page, sidecar)
         return page
-
-    def _parse_sidecar(self, page_id: int, offset: int, length: int):
-        """Split a v2 blob into its pickle view and (optional) sidecar.
-
-        The sidecar header is parsed and bounds-checked *before* anything
-        is unpickled, so a damaged or hostile blob dies here with an
-        "undecodable blob" error and never reaches the unpickler.
-        """
-
-        def bad(reason: str) -> SnapshotFormatError:
-            return SnapshotFormatError(
-                self.source, f"page {page_id}: undecodable blob: {reason}")
-
-        if length < _BLOB_HEADER.size:
-            raise bad(f"{length} bytes is shorter than the "
-                      f"{_BLOB_HEADER.size}-byte sidecar header")
-        kind, _reserved, rows, ncols, pickle_len = _BLOB_HEADER.unpack_from(
-            self._buf, offset)
-        if kind == KIND_NONE:
-            if rows or ncols:
-                raise bad(f"sidecar kind 0 with rows={rows} ncols={ncols}")
-            mat_bytes = flag_bytes = 0
-        elif kind in _KIND_SPECS:
-            want_ncols, nflags = _KIND_SPECS[kind][1:]
-            if ncols != want_ncols:
-                raise bad(f"sidecar kind {kind} with {ncols} columns "
-                          f"(expected {want_ncols})")
-            mat_bytes = 8 * rows * ncols
-            flag_bytes = nflags * rows
-        else:
-            raise bad(f"unknown sidecar kind {kind}")
-        pickle_start = offset + _BLOB_HEADER.size + mat_bytes + flag_bytes
-        if pickle_start + pickle_len != offset + length:
-            raise bad(f"sidecar geometry (rows={rows}, ncols={ncols}, "
-                      f"pickle {pickle_len} bytes) does not add up to the "
-                      f"{length}-byte blob")
-        pickle_view = self._buf[pickle_start:pickle_start + pickle_len]
-        if kind == KIND_NONE:
-            return pickle_view, None
-        return pickle_view, (kind, rows, ncols, offset + _BLOB_HEADER.size)
-
-    def _attach_columns(self, page: Page, sidecar) -> None:
-        """Mirror the sidecar into ``page.cols`` as zero-copy views.
-
-        Purely best-effort: without numpy, or if the decoded payload does
-        not line up with the recorded row count, the page simply starts
-        with a cold column cache (rebuilt lazily by the kernels).
-        """
-        from ..geometry import kernels
-
-        if not kernels.HAVE_NUMPY:
-            return
-        kind, rows, ncols, mat_off = sidecar
-        if rows != len(page.items):
-            return
-        import numpy as np
-
-        mat = np.frombuffer(self._buf, dtype="<f8", count=rows * ncols,
-                            offset=mat_off).reshape(rows, ncols)
-        flags_off = mat_off + 8 * rows * ncols
-        valid = np.frombuffer(self._buf, dtype=np.bool_, count=rows,
-                              offset=flags_off)
-        tag = _KIND_SPECS[kind][0]
-        if kind == KIND_SEG:
-            vertical = np.frombuffer(self._buf, dtype=np.bool_, count=rows,
-                                     offset=flags_off + rows)
-            cols = kernels.SegColumns.from_arrays(mat, valid, vertical)
-        elif kind == KIND_LB:
-            cols = kernels.LBColumns.from_arrays(mat, valid)
-        else:
-            cols = kernels.GKeyColumns.from_arrays(mat, valid)
-        page.cols = (tag, cols)
 
     def materialize(self) -> BlockDevice:
         """Eagerly decode every page into a fresh :class:`BlockDevice`.
 
-        This is the compatibility path (``load_device`` on a v2
-        snapshot): same result as the v1 loader, every fingerprint
-        verified up front.
+        This is the single-process open path (``load_device``): every
+        fingerprint is verified up front.
         """
         device = BlockDevice(self.block_capacity)
         for page_id in self.page_ids:
@@ -445,18 +261,10 @@ class ArenaView:
         return device
 
     def release(self) -> None:
-        """Drop every exported buffer slice (required before shm close).
-
-        Pages decoded from a v2 arena hold zero-copy numpy views over the
-        buffer; while any such page is alive the underlying buffer cannot
-        be released — that is fine (the mapping stays until they go), so
-        ``BufferError`` is swallowed rather than crashing teardown.
-        """
+        """Drop every buffer slice this view holds (required before shm
+        close: a segment with exported buffers cannot unmap)."""
         for view in (self._meta_blob, self._table, self._buf):
-            try:
-                view.release()
-            except BufferError:
-                pass
+            view.release()
 
 
 # ----------------------------------------------------------------------

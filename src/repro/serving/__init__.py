@@ -13,10 +13,9 @@ This package adds that layer without touching the engines:
   directory of files that serving processes ``open()`` in O(pages) instead
   of rebuilding in O(N log N);
 * a :class:`ShardWorkerPool` executes shard sub-batches across OS
-  processes: on the shared-memory transport the parent maps each shard's
-  flat page arena into POSIX shm once and warm workers attach zero-copy
-  (:mod:`repro.serving.shm`); the legacy pickle transport has each
-  worker open its shard snapshot once and keep it warm.  ``workers=0``
+  processes: the parent maps each shard's flat page arena into POSIX
+  shm once and warm workers attach to it in O(1)
+  (:mod:`repro.serving.shm`) — the pool's one transport.  ``workers=0``
   runs the identical routing code synchronously;
 * a :class:`ServeDaemon` fronts a pool-backed database with an asyncio
   socket server — request batching, bounded-queue admission control,
@@ -45,7 +44,7 @@ from .resilience import (WORKER_KILL_POINTS, ChaosProxy, CircuitBreaker,
                          ShardDownError, SupervisorPolicy)
 from .sharded import ShardedSegmentDatabase
 from .shm import AttachedArena, SharedShardArenas, segment_name, shm_available
-from .workers import TASK_PHASES, TRANSPORTS, ShardWorkerPool, WorkerTaskResult
+from .workers import TASK_PHASES, ShardWorkerPool, WorkerTaskResult
 
 __all__ = [
     "AttachedArena",
@@ -63,7 +62,6 @@ __all__ = [
     "SharedShardArenas",
     "SupervisorPolicy",
     "TASK_PHASES",
-    "TRANSPORTS",
     "WORKER_KILL_POINTS",
     "WorkerTaskResult",
     "capture_batch",

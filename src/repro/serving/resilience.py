@@ -503,10 +503,7 @@ class ChaosProxy:
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        _close_both(self._listener)  # shutdown wakes the blocked accept()
         with self._lock:
             conns, self._conns = self._conns, []
         for sock in conns:
@@ -542,7 +539,17 @@ def _shutdown(sock: socket.socket) -> None:
 
 
 def _close_both(*socks: socket.socket) -> None:
+    """Tear sockets down for real.  ``close()`` alone neither sends a FIN
+    nor wakes a listener while another thread is blocked in ``recv()`` or
+    ``accept()`` on the socket (the kernel keeps it open until that call
+    returns), so the peer would wait out its whole read timeout;
+    ``shutdown`` ends the connection at once and wakes the blocked
+    call."""
     for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # not connected, or already shut down
+            pass
         try:
             sock.close()
         except OSError:  # pragma: no cover - already closed

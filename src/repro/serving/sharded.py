@@ -474,7 +474,6 @@ class ShardedSegmentDatabase:
         workers: int = 0,
         buffer_pages: Optional[int] = None,
         slow_query_s: Optional[float] = None,
-        transport: str = "shm",
         cache_pages: Optional[int] = None,
         supervisor: Optional[SupervisorPolicy] = _DEFAULT_SUPERVISOR,
         chaos: Optional[RpcChaosSchedule] = None,
@@ -484,10 +483,9 @@ class ShardedSegmentDatabase:
         ``workers=0`` opens every shard in this process; ``workers>0``
         hands the snapshot paths to a
         :class:`~repro.serving.workers.ShardWorkerPool` and shards are
-        attached (once each) inside the worker processes instead —
-        zero-copy out of shared memory on ``transport="shm"`` (the
-        default; ``cache_pages`` bounds each worker's decoded-page LRU),
-        or by per-process snapshot open on ``transport="pickle"``.
+        attached (once each) inside the worker processes instead,
+        zero-copy out of shared memory (``cache_pages`` bounds each
+        worker's decoded-page LRU).
         ``slow_query_s`` arms a slow-query log at that threshold on
         every shard (worker-side in pool mode, entries shipped back with
         each batch) merged into ``self.slow_log``.  ``supervisor`` and
@@ -517,7 +515,6 @@ class ShardedSegmentDatabase:
         if workers > 0:
             pool = ShardWorkerPool(paths, workers, buffer_pages=buffer_pages,
                                    slow_query_s=slow_query_s,
-                                   transport=transport,
                                    cache_pages=cache_pages,
                                    supervisor=supervisor,
                                    chaos=chaos)

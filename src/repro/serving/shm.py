@@ -1,13 +1,13 @@
-"""POSIX shared-memory transport for shard arenas.
+"""POSIX shared memory: how shard arenas reach the worker pool.
 
-The pickle transport re-serializes nothing per batch, but every worker
-still pays a full ``SegmentDatabase.open()`` — an O(shard) unpickle —
-on first touch of each shard, and one process's decode work helps no
-other process.  The arena format removes that tax: the parent maps each
-shard's container-verified arena (:func:`~repro.iosim.read_arena`) into
-one :mod:`multiprocessing.shared_memory` segment, and every worker
-attaches in O(1), slicing pages zero-copy through an
-:class:`~repro.iosim.ArenaView` over the segment's buffer.
+This is the pool's only transport.  Opening a snapshot in every worker
+would cost each process an O(shard) unpickle on first touch of each
+shard.  Instead the parent maps each shard's container-verified arena
+(:func:`~repro.iosim.read_arena`) into one
+:mod:`multiprocessing.shared_memory` segment, and every worker attaches
+in O(1), decoding pages out of the segment's buffer through an
+:class:`~repro.iosim.ArenaView`.  A decoded page holds no reference into
+the segment, so a worker can detach while its pages are still in use.
 
 Ownership protocol:
 
@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..iosim import ArenaView
 from ..iosim.snapshot import read_arena
 
-try:  # absent on platforms without POSIX shm (then transport="pickle")
+try:  # absent on platforms without POSIX shm (then serve with workers=0)
     from multiprocessing import resource_tracker, shared_memory
 except ImportError:  # pragma: no cover - exercised only on exotic builds
     resource_tracker = None
@@ -197,8 +197,7 @@ class SharedShardArenas:
 
         Each path is read through :func:`~repro.iosim.read_arena`, so a
         damaged file fails *here*, in the process that owns it — workers
-        only ever see container-verified bytes.  Legacy v1 snapshots are
-        converted to arenas once, in the parent.
+        only ever see container-verified bytes.
 
         Per shard path, the owner lock decides the naming scheme: lock
         acquired → deterministic name, stale collisions reclaimed; lock
@@ -209,7 +208,7 @@ class SharedShardArenas:
         if not shm_available():  # pragma: no cover - platform-dependent
             raise RuntimeError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use transport='pickle'"
+                "platform; serve with workers=0"
             )
         segments: List = []
         descriptors: List[Tuple[str, int]] = []
@@ -280,12 +279,8 @@ class AttachedArena:
             raise
 
     def close(self) -> None:
-        """Detach (idempotent-ish): live zero-copy column views over the
-        arena keep the mapping pinned, so a refusing ``release`` is
-        tolerated — the mapping falls away when the last view dies."""
+        """Detach and unmap the segment.  Pages decoded from the view
+        stay valid: none of them refers into the mapping."""
         self.view.release()
-        try:
-            self._buf.release()
-            self._shm.close()
-        except BufferError:
-            pass
+        self._buf.release()
+        self._shm.close()

@@ -8,17 +8,13 @@ decoded pages and all.  Workers ship back the query results *and* a
 parent's aggregated report sums to exactly what a single-process run
 would have charged — buffer, filter and fault sub-counters included.
 
-Two transports share the task protocol:
-
-* ``"shm"`` (default) — the parent maps each shard's flat arena into a
-  POSIX shared-memory segment once (:mod:`repro.serving.shm`); a worker
-  attaches in O(1) via :class:`~repro.iosim.ArenaView` and serves
-  through an :class:`~repro.iosim.ArenaBlockDevice`, decoding pages
-  lazily out of the shared bytes into a bounded per-worker LRU.  No
-  per-process snapshot unpickle, no per-batch state transfer.
-* ``"pickle"`` — the PR 5 behavior, kept for comparison (benchmark E18)
-  and platforms without shared memory: each worker cold-opens the
-  snapshot file, paying a full O(shard) deserialization per process.
+Shards reach the workers one way: the parent maps each shard's flat
+arena into a POSIX shared-memory segment once (:mod:`repro.serving.shm`);
+a worker attaches in O(1) via :class:`~repro.iosim.ArenaView` and serves
+through an :class:`~repro.iosim.ArenaBlockDevice`, decoding pages lazily
+out of the shared bytes into a bounded per-worker LRU.  No per-process
+snapshot unpickle, no per-batch state transfer.  A platform without
+POSIX shared memory serves with ``workers=0``.
 
 Latency observability (the E17 cliff, made visible).  The worker protocol
 serializes the batch payload *explicitly*: the parent times ``dumps`` on
@@ -35,8 +31,7 @@ worker opens a :class:`~repro.telemetry.WallTracer` that *continues the
 parent's trace id* and records timed spans for
 
 * ``deserialize`` — unpickling the query batch,
-* ``attach``      — first touch of the shard (shm: O(1) arena attach;
-  pickle: the full snapshot open),
+* ``attach``      — first touch of the shard (the O(1) arena attach),
 * ``query``       — the engine work proper,
 * ``serialize``   — pickling the results,
 
@@ -66,14 +61,11 @@ from ..telemetry import SpanContext, WallTracer, spans as wallspans
 from .reporting import ShardBatchStats, capture_batch
 from .resilience import (CircuitBreaker, RpcChaosSchedule, SupervisorPolicy,
                          chaos_kill_point)
-from .shm import AttachedArena, SharedShardArenas, shm_available
+from .shm import AttachedArena, SharedShardArenas
 
 #: Phase names of one pooled task, in timeline order.
 TASK_PHASES = ("dispatch", "deserialize", "attach", "query", "serialize",
                "collect")
-
-#: Transports a pool can run on.
-TRANSPORTS = ("shm", "pickle")
 
 #: Sentinel: "no supervisor argument given" — distinct from an explicit
 #: ``supervisor=None``, which opts back into the legacy raise-through
@@ -82,8 +74,6 @@ TRANSPORTS = ("shm", "pickle")
 _DEFAULT_SUPERVISOR = SupervisorPolicy()
 
 # Per-process state, set by the pool initializer and filled lazily.
-_TRANSPORT: str = "pickle"
-_SHARD_PATHS: Optional[List[str]] = None
 _SEGMENTS: Optional[List[Tuple[str, int]]] = None
 _BUFFER_PAGES: Optional[int] = None
 _SLOW_QUERY_S: Optional[float] = None
@@ -95,29 +85,21 @@ _ATTACHED: Dict[int, AttachedArena] = {}
 def _detach_all() -> None:
     """Worker exit hook: drop every shm attachment cleanly.
 
-    Releasing the memoryviews before closing the segments is mandatory —
-    a segment with exported buffers cannot unmap — and closing them at
-    all keeps worker exit silent under the resource tracker.
+    Closing the segments keeps worker exit silent under the resource
+    tracker.
     """
     _OPENED.clear()
-    for arena in list(_ATTACHED.values()):
-        try:
-            arena.close()
-        except BufferError:  # a live db still holds pages; OS cleans up
-            pass
+    for arena in _ATTACHED.values():
+        arena.close()
     _ATTACHED.clear()
 
 
-def _init_worker(transport: str, shard_paths: List[str],
-                 segments: Optional[List[Tuple[str, int]]],
+def _init_worker(segments: List[Tuple[str, int]],
                  buffer_pages: Optional[int],
                  slow_query_s: Optional[float],
                  cache_pages: Optional[int]) -> None:
-    global _TRANSPORT, _SHARD_PATHS, _SEGMENTS, _BUFFER_PAGES
-    global _SLOW_QUERY_S, _CACHE_PAGES
-    _TRANSPORT = transport
-    _SHARD_PATHS = list(shard_paths)
-    _SEGMENTS = list(segments) if segments is not None else None
+    global _SEGMENTS, _BUFFER_PAGES, _SLOW_QUERY_S, _CACHE_PAGES
+    _SEGMENTS = list(segments)
     _BUFFER_PAGES = buffer_pages
     _SLOW_QUERY_S = slow_query_s
     _CACHE_PAGES = cache_pages
@@ -129,18 +111,14 @@ def _init_worker(transport: str, shard_paths: List[str],
 def _open_shard(index: int):
     from ..core.api import SegmentDatabase
 
-    if _TRANSPORT == "shm":
-        name, size = _SEGMENTS[index]
-        arena = AttachedArena(name, size, source=f"shm://{name}")
-        _ATTACHED[index] = arena
-        device = ArenaBlockDevice(arena.view, cache_pages=_CACHE_PAGES)
-        db = SegmentDatabase.attach_device(
-            device, arena.view.meta, buffer_pages=_BUFFER_PAGES,
-            source=f"shm://{name}",
-        )
-    else:
-        db = SegmentDatabase.open(_SHARD_PATHS[index],
-                                  buffer_pages=_BUFFER_PAGES)
+    name, size = _SEGMENTS[index]
+    arena = AttachedArena(name, size, source=f"shm://{name}")
+    _ATTACHED[index] = arena
+    device = ArenaBlockDevice(arena.view, cache_pages=_CACHE_PAGES)
+    db = SegmentDatabase.attach_device(
+        device, arena.view.meta, buffer_pages=_BUFFER_PAGES,
+        source=f"shm://{name}",
+    )
     if _SLOW_QUERY_S is not None:
         db.enable_slow_query_log(_SLOW_QUERY_S)
     return db
@@ -179,8 +157,7 @@ def _run_task(kind: str, index: int, payload: bytes,
     db = _OPENED.get(index)
     if db is None:
         with tracer.span("attach", category="snapshot", shard=index,
-                         transport=_TRANSPORT,
-                         path=os.path.basename(_SHARD_PATHS[index])):
+                         segment=_SEGMENTS[index][0]):
             db = _open_shard(index)
         _OPENED[index] = db
     chaos_kill_point("worker.after-attach", chaos_kill)
@@ -253,12 +230,10 @@ class ShardWorkerPool:
     empty never cross the process boundary at all — no pickling, no
     executor submit, an immediately-empty result.
 
-    ``transport="shm"`` (the default where available) maps every shard
-    arena into shared memory up front and workers attach zero-copy;
-    ``transport="pickle"`` is the legacy per-process snapshot open.  The
-    parent owns the segments: :meth:`shutdown` (or the context manager)
-    unlinks them after the workers drain, including when a worker
-    crashed mid-batch.
+    The pool maps every shard arena into shared memory up front and
+    workers attach zero-copy.  The parent owns the segments:
+    :meth:`shutdown` (or the context manager) unlinks them after the
+    workers drain, including when a worker crashed mid-batch.
 
     When a :func:`~repro.telemetry.wall_tracing` tracer is installed in
     the parent, every task inherits its trace id; worker spans are
@@ -291,23 +266,16 @@ class ShardWorkerPool:
     def __init__(self, shard_paths: Sequence[str], workers: int,
                  buffer_pages: Optional[int] = None,
                  slow_query_s: Optional[float] = None,
-                 transport: str = "shm",
                  cache_pages: Optional[int] = None,
                  supervisor: Optional[SupervisorPolicy] = _DEFAULT_SUPERVISOR,
                  chaos: Optional[RpcChaosSchedule] = None):
         if workers < 1:
             raise ValueError("ShardWorkerPool needs workers >= 1 "
                              "(use the synchronous path for workers=0)")
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"pick one of {TRANSPORTS}")
-        if transport == "shm" and not shm_available():  # pragma: no cover
-            transport = "pickle"
         if supervisor is _DEFAULT_SUPERVISOR:
             supervisor = SupervisorPolicy()
         self._paths = list(shard_paths)
         self.workers = workers
-        self.transport = transport
         self.supervisor = supervisor
         self.chaos = chaos
         self._retry_rng = Random(supervisor.seed) if supervisor else Random(0)
@@ -316,18 +284,14 @@ class ShardWorkerPool:
         self.retried_tasks = 0
         self.failed_tasks = 0
         self.shed_tasks = 0
-        self._arenas: Optional[SharedShardArenas] = None
-        segments = None
-        if transport == "shm":
-            self._arenas = SharedShardArenas.create(self._paths)
-            segments = self._arenas.descriptors
-        self._initargs = (transport, self._paths, segments, buffer_pages,
+        self._arenas: Optional[SharedShardArenas] = SharedShardArenas.create(
+            self._paths)
+        self._initargs = (self._arenas.descriptors, buffer_pages,
                           slow_query_s, cache_pages)
         try:
             self._executor = self._spawn_executor()
         except BaseException:
-            if self._arenas is not None:
-                self._arenas.unlink()
+            self._arenas.unlink()
             raise
 
     def _spawn_executor(self) -> ProcessPoolExecutor:
@@ -374,7 +338,7 @@ class ShardWorkerPool:
 
     @property
     def shared_bytes(self) -> int:
-        """Total shm bytes this pool mapped (0 on the pickle transport)."""
+        """Total shm bytes this pool mapped (0 once shut down)."""
         return self._arenas.total_bytes if self._arenas is not None else 0
 
     def query_batches(self, batches: Dict[int, List]) -> Dict[int, WorkerTaskResult]:
@@ -514,7 +478,6 @@ class ShardWorkerPool:
             "workers": self.workers,
             "alive_workers": sum(1 for p in procs.values()
                                  if p is not None and p.is_alive()),
-            "transport": self.transport,
             "supervised": self.supervisor is not None,
             "respawns": self.respawns,
             "retried_tasks": self.retried_tasks,

@@ -1,8 +1,7 @@
 """Unit tests for the binary snapshot container (save_device/load_device).
 
-Format version 2 (current) carries a flat page arena; version 1 (legacy)
-one object-graph pickle.  Both must round-trip through ``load_device``;
-the arena-specific failure modes live in ``test_arena.py``.
+The container (format version 2) carries a flat page arena; the
+arena-specific failure modes live in ``test_arena.py``.
 """
 
 import pickle
@@ -18,9 +17,8 @@ from repro.iosim import (
     load_device,
     save_device,
 )
-from repro.iosim.snapshot import _HEADER, MAGIC, SUPPORTED_VERSIONS
-
-VERSIONS = SUPPORTED_VERSIONS
+from repro.iosim.arena import _ARENA_HEADER
+from repro.iosim.snapshot import _HEADER, MAGIC
 
 
 def make_device(pages=5, capacity=8):
@@ -35,12 +33,10 @@ def make_device(pages=5, capacity=8):
     return device
 
 
-@pytest.mark.parametrize("version", VERSIONS)
-def test_round_trip_preserves_pages_and_meta(tmp_path, version):
+def test_round_trip_preserves_pages_and_meta(tmp_path):
     device = make_device()
     path = str(tmp_path / "dev.snap")
-    nbytes = save_device(path, device, {"engine": "x", "root": 3},
-                         format_version=version)
+    nbytes = save_device(path, device, {"engine": "x", "root": 3})
     assert nbytes == (tmp_path / "dev.snap").stat().st_size
 
     restored, meta = load_device(path)
@@ -66,34 +62,6 @@ def test_default_format_is_arena(tmp_path):
     assert version == SNAPSHOT_FORMAT_VERSION == 2
 
 
-def test_v1_files_still_load(tmp_path):
-    """Old-format files written before the arena stay readable."""
-    device = make_device()
-    path = str(tmp_path / "legacy.snap")
-    save_device(path, device, {"engine": "x"}, format_version=1)
-    restored, meta = load_device(path)
-    assert meta == {"engine": "x"}
-    assert sorted(restored._pages) == sorted(device._pages)
-
-
-def test_shared_items_stay_shared_after_v1_round_trip(tmp_path):
-    """The legacy object-graph payload preserves cross-page identity
-    (the arena trades that for independently decodable pages — see
-    test_arena.py for the v2 contract)."""
-    device = BlockDevice(8)
-    shared = ["payload"]
-    a, b = device.alloc(), device.alloc()
-    a.items = [shared]
-    b.items = [shared]
-    device.write(a)
-    device.write(b)
-    path = str(tmp_path / "dev.snap")
-    save_device(path, device, {}, format_version=1)
-    restored, _meta = load_device(path)
-    ra, rb = restored._pages[a.page_id], restored._pages[b.page_id]
-    assert ra.items[0] is rb.items[0], "object identity lost in snapshot"
-
-
 def test_v2_duplicates_cross_page_items_but_preserves_content(tmp_path):
     device = BlockDevice(8)
     shared = ["payload"]
@@ -107,12 +75,6 @@ def test_v2_duplicates_cross_page_items_but_preserves_content(tmp_path):
     restored, _meta = load_device(path)
     ra, rb = restored._pages[a.page_id], restored._pages[b.page_id]
     assert ra.items == rb.items == [["payload"]]
-
-
-def test_unknown_write_version_rejected(tmp_path):
-    with pytest.raises(ValueError, match="cannot write snapshot format"):
-        save_device(str(tmp_path / "dev.snap"), make_device(), {},
-                    format_version=7)
 
 
 def test_missing_file_and_short_file(tmp_path):
@@ -135,29 +97,31 @@ def test_bad_magic(tmp_path):
 
 
 def test_future_version_rejected(tmp_path):
+    """Any container version but the current one — the retired
+    object-graph version 1 included — is a typed error."""
     path = tmp_path / "dev.snap"
     save_device(str(path), make_device(), {})
-    blob = bytearray(path.read_bytes())
-    struct.pack_into(">I", blob, 8, SNAPSHOT_FORMAT_VERSION + 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(SnapshotFormatError, match="unsupported format version"):
-        load_device(str(path))
+    for version in (1, SNAPSHOT_FORMAT_VERSION + 1):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(">I", blob, 8, version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotFormatError,
+                           match="unsupported format version"):
+            load_device(str(path))
 
 
-@pytest.mark.parametrize("version", VERSIONS)
-def test_truncated_payload(tmp_path, version):
+def test_truncated_payload(tmp_path):
     path = tmp_path / "dev.snap"
-    save_device(str(path), make_device(), {}, format_version=version)
+    save_device(str(path), make_device(), {})
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
     with pytest.raises(SnapshotFormatError, match="truncated"):
         load_device(str(path))
 
 
-@pytest.mark.parametrize("version", VERSIONS)
-def test_flipped_payload_byte_fails_crc(tmp_path, version):
+def test_flipped_payload_byte_fails_crc(tmp_path):
     path = tmp_path / "dev.snap"
-    save_device(str(path), make_device(), {}, format_version=version)
+    save_device(str(path), make_device(), {})
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0x01
     path.write_bytes(bytes(blob))
@@ -165,41 +129,33 @@ def test_flipped_payload_byte_fails_crc(tmp_path, version):
         load_device(str(path))
 
 
-def _repack_v1(path, payload_obj):
-    """Write a v1 snapshot with a valid header around an arbitrary payload."""
-    payload = pickle.dumps(payload_obj, protocol=pickle.HIGHEST_PROTOCOL)
+def _repack(path, payload):
+    """Write a snapshot with a valid header and CRC around ``payload``."""
     path.write_bytes(
-        _HEADER.pack(MAGIC, 1, len(payload), zlib.crc32(payload)) + payload
+        _HEADER.pack(MAGIC, SNAPSHOT_FORMAT_VERSION, len(payload),
+                     zlib.crc32(payload)) + payload
     )
 
 
-def test_v1_page_fingerprint_mismatch_detected(tmp_path):
-    """Content tampering behind a recomputed file CRC still fails: the
-    per-page fingerprints are the second, independent verification layer."""
-    device = make_device()
-    path = tmp_path / "dev.snap"
-    save_device(str(path), device, {}, format_version=1)
-    payload_obj = pickle.loads(path.read_bytes()[_HEADER.size:])
-    pid, items, header = payload_obj["pages"][0]
-    payload_obj["pages"][0] = (pid, items + [("smuggled",)], header)
-    _repack_v1(path, payload_obj)
-    with pytest.raises(SnapshotFormatError, match="checksum mismatch"):
-        load_device(str(path))
-
-
 def test_missing_payload_field(tmp_path):
+    """A CRC-clean payload that stops inside the arena header is still a
+    typed error: the container check alone does not vouch for content."""
     path = tmp_path / "dev.snap"
-    _repack_v1(path, {"meta": {}, "block_capacity": 8})
-    with pytest.raises(SnapshotFormatError, match="missing field"):
+    _repack(path, b"RPRARENA\x00\x00\x00\x01")
+    with pytest.raises(SnapshotFormatError, match="arena truncated"):
         load_device(str(path))
 
 
 def test_hostile_globals_rejected(tmp_path):
     """A pickle resolving globals outside the allowlist must not execute."""
     path = tmp_path / "dev.snap"
-    payload = pickle.dumps(struct.pack)  # any non-allowlisted callable
-    path.write_bytes(
-        _HEADER.pack(MAGIC, 1, len(payload), zlib.crc32(payload)) + payload
-    )
-    with pytest.raises(SnapshotFormatError, match="undecodable payload"):
+    save_device(str(path), make_device(), {"engine": "x" * 64})
+    arena = bytearray(path.read_bytes()[_HEADER.size:])
+    meta_len = _ARENA_HEADER.unpack_from(arena, 0)[5]
+    evil = pickle.dumps(struct.pack)  # any non-allowlisted callable
+    assert len(evil) <= meta_len, "shrink the hostile payload for this test"
+    start = _ARENA_HEADER.size
+    arena[start:start + meta_len] = evil.ljust(meta_len, b".")
+    _repack(path, bytes(arena))
+    with pytest.raises(SnapshotFormatError, match="forbidden global"):
         load_device(str(path))

@@ -200,8 +200,7 @@ def test_serves_a_real_sharded_database(tmp_path):
         segments, shards=2, block_capacity=16).save(directory)
     with ShardedSegmentDatabase.open(directory, workers=0) as sync:
         expected = sync.query_batch(queries)
-    served = ShardedSegmentDatabase.open(directory, workers=1,
-                                         transport="shm")
+    served = ShardedSegmentDatabase.open(directory, workers=1)
     daemon = ServeDaemon(served)
     thread = _start(daemon)
     try:

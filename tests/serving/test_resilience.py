@@ -408,7 +408,7 @@ def test_pool_health_report_shape(snapshot):
     assert health["mode"] == "pool"
     assert health["shards"] == 2
     pool = health["pool"]
-    for key in ("workers", "alive_workers", "transport", "supervised",
+    for key in ("workers", "alive_workers", "supervised",
                 "respawns", "retried_tasks", "failed_tasks", "shed_tasks",
                 "breakers"):
         assert key in pool, key
@@ -513,6 +513,30 @@ def test_client_retries_ride_out_connection_resets(snapshot):
             daemon.request_stop()
             thread.join(timeout=10)
     assert frames.frame_faults_injected > 0, "the reset schedule never fired"
+
+
+@pytest.mark.parametrize("fault", ["conn_reset_rate", "frame_truncate_rate"])
+def test_proxy_teardown_reaches_the_client_at_once(snapshot, fault):
+    """Regression: the proxy closed the client socket while its request
+    pump was still blocked in ``recv()`` on it, so no FIN went out and the
+    client sat out its whole 30 s read timeout instead of seeing the
+    connection drop."""
+    directory, queries, _expected = snapshot
+    with ShardedSegmentDatabase.open(directory, workers=0) as served:
+        daemon, thread = _daemon(served)
+        frames = RpcChaosSchedule(seed=0, **{fault: 1.0})
+        try:
+            with ChaosProxy("127.0.0.1", daemon.port, frames) as proxy:
+                with ServeClient(port=proxy.port, retries=0,
+                                 request_timeout=30) as client:
+                    t0 = time.perf_counter()
+                    with pytest.raises(ServeConnectionError):
+                        client.query_batch(queries[:4])
+                    elapsed = time.perf_counter() - t0
+            assert elapsed < 2.0, f"teardown took {elapsed:.1f}s to arrive"
+        finally:
+            daemon.request_stop()
+            thread.join(timeout=10)
 
 
 def test_chaos_proxy_delay_passes_frames_through_intact(snapshot):

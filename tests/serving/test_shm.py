@@ -17,7 +17,6 @@ from repro import SegmentDatabase, ShardedSegmentDatabase
 from repro.iosim import ArenaBlockDevice, ArenaView, SnapshotFormatError
 from repro.serving import (
     AttachedArena,
-    ShardWorkerPool,
     SharedShardArenas,
     segment_name,
     shm_available,
@@ -130,12 +129,28 @@ def test_damaged_snapshot_fails_in_parent_without_leaking(single_snap, tmp_path)
     assert _dev_shm_segments() == before
 
 
+def test_attached_arena_close_unmaps_with_pages_alive(single_snap):
+    """Decoded pages own their content, so ``close()`` really unmaps the
+    segment while they are still referenced — and they stay readable."""
+    arenas = SharedShardArenas.create([single_snap])
+    try:
+        name, size = arenas.descriptors[0]
+        attached = AttachedArena(name, size, source=name)
+        view = attached.view
+        pages = [view.decode_page(pid) for pid in view.page_ids]
+        expected = [list(page.items) for page in pages]
+        assert max(len(items) for items in expected) >= 8
+        attached.close()
+        assert attached._shm._mmap is None, "segment still mapped"
+        assert [list(page.items) for page in pages] == expected
+    finally:
+        arenas.unlink()
+
+
 def test_pool_shutdown_unlinks_segments(snapshot):
     directory, queries = snapshot
     before = _dev_shm_segments()
-    with ShardedSegmentDatabase.open(directory, workers=1,
-                                     transport="shm") as served:
-        assert served._pool.transport == "shm"
+    with ShardedSegmentDatabase.open(directory, workers=1) as served:
         assert served._pool.shared_bytes > 0
         assert len(_dev_shm_segments()) == len(before) + 2
         served.query_batch(queries)
@@ -147,8 +162,7 @@ def test_shm_results_match_sync(snapshot):
     with ShardedSegmentDatabase.open(directory, workers=0) as sync:
         expected = sync.query_batch(queries)
         expected_report = sync.io_report()
-    with ShardedSegmentDatabase.open(directory, workers=2,
-                                     transport="shm") as served:
+    with ShardedSegmentDatabase.open(directory, workers=2) as served:
         got = served.query_batch(queries)
         got_report = served.io_report()
     assert [sorted(s.label for s in r) for r in got] == \
@@ -160,8 +174,7 @@ def test_shm_results_match_sync(snapshot):
 
 def test_shm_transport_records_standard_phases(snapshot):
     directory, queries = snapshot
-    with ShardedSegmentDatabase.open(directory, workers=1,
-                                     transport="shm") as served:
+    with ShardedSegmentDatabase.open(directory, workers=1) as served:
         served.query_batch(queries)
         served.query_batch(queries)
         report = served.latency_report()
@@ -170,18 +183,11 @@ def test_shm_transport_records_standard_phases(snapshot):
     assert "attach" in report["phases_s"]
 
 
-def test_unknown_transport_rejected(snapshot):
-    directory, _queries = snapshot
-    with pytest.raises(ValueError, match="transport"):
-        ShardWorkerPool([], workers=1, transport="carrier-pigeon")
-
-
 def test_empty_groups_skip_the_executor(snapshot):
     """A shard routed zero queries must not cross the process boundary:
     no pickling, no submit, an immediately-empty result (S2)."""
     directory, queries = snapshot
-    with ShardedSegmentDatabase.open(directory, workers=1,
-                                     transport="shm") as served:
+    with ShardedSegmentDatabase.open(directory, workers=1) as served:
         pool = served._pool
         submitted = []
         original = pool._executor.submit
@@ -205,8 +211,7 @@ def test_empty_groups_skip_the_executor(snapshot):
 
 def test_all_empty_batch_never_touches_workers(snapshot):
     directory, _queries = snapshot
-    with ShardedSegmentDatabase.open(directory, workers=1,
-                                     transport="shm") as served:
+    with ShardedSegmentDatabase.open(directory, workers=1) as served:
         pool = served._pool
         pool._executor.submit = None  # any submit would raise
         out = pool.query_batches({0: [], 1: []})

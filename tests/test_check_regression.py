@@ -12,11 +12,11 @@ sys.path.insert(
 from check_regression import compare, extract_metrics, main  # noqa: E402
 
 
-def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, reduction=30.0,
+def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, kernel_ratio=3.0,
               mttr=120.0, supervised_ratio=0.98):
-    """A minimal schema-v5 artifact shaped like the real one."""
+    """A minimal schema-v6 artifact shaped like the real one."""
     return {
-        "schema_version": 5,
+        "schema_version": 6,
         "commit": "abc1234",
         "experiments": {
             "E15": {
@@ -48,12 +48,7 @@ def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, reduction=30.0,
             },
             "E18": {
                 "engine": "solution2",
-                "overhead": {
-                    "pickle_s": 3.0,
-                    "shm_s": 3.0 / reduction,
-                    "overhead_reduction": reduction,
-                    "attach_reduction": reduction * 2,
-                },
+                "modes": {"shm": {"overhead_s": 0.04, "attach_s": 0.01}},
             },
             "E19": {
                 "engine": "solution2",
@@ -63,6 +58,12 @@ def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, reduction=30.0,
                     {"kill_rate": 0.15, "degraded_fraction": 0.05,
                      "stall_p99_ms": 500.0},
                 ],
+            },
+            "E20": {
+                "engines": {
+                    "solution1": {"kernel_speedup_ratio": kernel_ratio},
+                    "scan": {"kernel_speedup_ratio": 1.0},
+                },
             },
         },
     }
@@ -82,28 +83,27 @@ def test_extracts_only_gated_metrics():
 
 
 def test_extracts_overhead_ratios():
+    """Ratio metrics gate as ``ratio``; E18's raw overhead seconds are
+    recorded, never gated."""
     metrics = extract_metrics(perf_file())
-    assert metrics["E18.overhead.overhead_reduction"] == ("ratio", 30.0)
-    assert metrics["E18.overhead.attach_reduction"] == ("ratio", 60.0)
-    # The raw overhead seconds are inputs, not gated metrics.
-    assert not any(k.endswith("pickle_s") or k.endswith("shm_s")
-                   for k in metrics)
+    assert metrics["E20.engines.solution1.kernel_speedup_ratio"] == (
+        "ratio", 3.0)
+    assert not any(k.startswith("E18") for k in metrics)
 
 
 def test_overhead_ratio_drop_beyond_tolerance_fails():
-    verdict = compare(perf_file(reduction=30.0), perf_file(reduction=10.0),
+    verdict = compare(perf_file(kernel_ratio=3.0), perf_file(kernel_ratio=1.0),
                       0.25, 0.25, max_ratio_drop=0.5)
     ratio_regressions = [r for r in verdict["regressions"]
                          if r["kind"] == "ratio"]
     assert {r["metric"] for r in ratio_regressions} == {
-        "E18.overhead.overhead_reduction",
-        "E18.overhead.attach_reduction",
+        "E20.engines.solution1.kernel_speedup_ratio",
     }
 
 
 def test_overhead_ratio_within_tolerance_passes():
     # Half the win gone is the (loose) limit; 60% retained passes.
-    verdict = compare(perf_file(reduction=30.0), perf_file(reduction=18.0),
+    verdict = compare(perf_file(kernel_ratio=3.0), perf_file(kernel_ratio=1.8),
                       0.25, 0.25, max_ratio_drop=0.5)
     assert [r for r in verdict["regressions"] if r["kind"] == "ratio"] == []
 
@@ -111,8 +111,8 @@ def test_overhead_ratio_within_tolerance_passes():
 def test_max_ratio_drop_flag(tmp_path):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(perf_file(reduction=30.0)))
-    cur.write_text(json.dumps(perf_file(reduction=24.0)))
+    base.write_text(json.dumps(perf_file(kernel_ratio=3.0)))
+    cur.write_text(json.dumps(perf_file(kernel_ratio=2.4)))
     assert main([str(base), str(cur), "--max-ratio-drop", "0.1"]) == 1
     assert main([str(base), str(cur), "--max-ratio-drop", "0.3"]) == 0
 

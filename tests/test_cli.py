@@ -218,6 +218,7 @@ def test_serve_bench_json_with_workers(capsys):
     assert summary["queries"] == 12
     assert summary["queries_per_s"] > 0
     assert summary["io"]["combined"]["total"] > 0
+    assert "attach" in summary["latency"]["phases_s"]
 
 
 def test_serve_bench_trace_and_slow_log(tmp_path, capsys):
@@ -288,15 +289,9 @@ def test_console_script_entry_point():
     assert entry(["version"]) == 0
 
 
-def test_serve_bench_pickle_transport(capsys):
-    import json
-
-    assert main(["serve-bench", "--shards", "2", "--workers", "1",
-                 "--segments", "200", "--count", "12",
-                 "--transport", "pickle", "--json"]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["queries"] == 12
-    assert "attach" in summary["latency"]["phases_s"]
+def test_serve_bench_rejects_the_removed_transport_flag(capsys):
+    assert main(["serve-bench", "--workers", "1", "--transport", "pickle"]) == 2
+    assert "unknown flag '--transport'" in capsys.readouterr().err
 
 
 def test_serve_bench_cache_pages(capsys):
@@ -331,7 +326,7 @@ def test_serve_daemon_lifecycle(tmp_path):
     try:
         ready = json.loads(proc.stdout.readline())
         assert ready["ready"] is True
-        assert ready["transport"] == "shm"
+        assert "transport" not in ready  # the shm pool is the only one
         port = ready["port"]
 
         client = subprocess.run(
