@@ -34,6 +34,16 @@ class Point:
         self.x = check_coordinate(x)
         self.y = check_coordinate(y)
 
+    def __reduce__(self):
+        return (Point, (self.x, self.y))
+
+    def __setstate__(self, state) -> None:
+        """Decode the slot-state records of streams written before
+        :meth:`__reduce__` existed, re-checking both coordinates."""
+        slots = state[1]
+        self.x = check_coordinate(slots["x"])
+        self.y = check_coordinate(slots["y"])
+
     def as_tuple(self) -> Tuple[Coordinate, Coordinate]:
         return (self.x, self.y)
 

@@ -111,6 +111,9 @@ class VerticalQuery:
             return False
         return True
 
+    def __reduce__(self):
+        return (VerticalQuery, (self.x, self.ylo, self.yhi))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, VerticalQuery):
             return NotImplemented

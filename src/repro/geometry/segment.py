@@ -15,6 +15,40 @@ from typing import Hashable, Optional
 from .filtered import segment_fp
 from .point import Coordinate, Point
 
+_EXACT_TYPES = (int, Fraction)
+_new_object = object.__new__
+
+
+def _rebuild_segment(sx, sy, ex, ey, label) -> "Segment":
+    """Unpickle a :class:`Segment` from its five fields.
+
+    The target of :meth:`Segment.__reduce__`, so every stream that
+    carries a segment (pool results, daemon frames, arena pages) names
+    this one function.  Every coordinate is checked exactly as
+    :func:`~repro.geometry.point.check_coordinate` does and ``_fp`` is
+    recomputed here, so no stream can plant a float coordinate or a
+    stale float cache.  Exact ``int``/``Fraction`` endpoints already in
+    lexicographic order take a direct slot-assignment path; anything
+    else goes through the full constructor (which rejects it or
+    normalises it).
+    """
+    if (type(sx) in _EXACT_TYPES and type(sy) in _EXACT_TYPES
+            and type(ex) in _EXACT_TYPES and type(ey) in _EXACT_TYPES
+            and (sx, sy) < (ex, ey) and label is not None):
+        start = _new_object(Point)
+        start.x = sx
+        start.y = sy
+        end = _new_object(Point)
+        end.x = ex
+        end.y = ey
+        segment = _new_object(Segment)
+        segment.start = start
+        segment.end = end
+        segment.label = label
+        segment._fp = segment_fp(sx, sy, ex, ey)
+        return segment
+    return Segment(Point(sx, sy), Point(ex, ey), label=label)
+
 
 class Segment:
     """A non-degenerate closed plane segment with exact endpoints.
@@ -111,6 +145,27 @@ class Segment:
 
     def with_label(self, label: Hashable) -> "Segment":
         return Segment(self.start, self.end, label=label)
+
+    # ------------------------------------------------------------------
+    # pickling
+    # ------------------------------------------------------------------
+    def __reduce__(self):
+        start, end = self.start, self.end
+        return (_rebuild_segment, (start.x, start.y, end.x, end.y, self.label))
+
+    def __setstate__(self, state) -> None:
+        """Decode the slot-state records of streams written before
+        :meth:`__reduce__` existed (format-2 snapshots): the endpoints
+        are re-validated and ``_fp`` recomputed, never taken from the
+        stream."""
+        slots = state[1]
+        start, end = slots["start"], slots["end"]
+        fresh = _rebuild_segment(start.x, start.y, end.x, end.y,
+                                 slots["label"])
+        self.start = fresh.start
+        self.end = fresh.end
+        self.label = fresh.label
+        self._fp = fresh._fp
 
     # ------------------------------------------------------------------
     # identity

@@ -77,18 +77,35 @@ _TABLE_ENTRY = struct.Struct(">QQQI")
 # ----------------------------------------------------------------------
 # restricted unpickling (shared with the snapshot container)
 # ----------------------------------------------------------------------
-#: Modules arena/snapshot payloads may resolve globals from.  Payloads
-#: only ever contain this library's value types plus stdlib scalars, so
-#: anything else in a stream is treated as damage, not data —
-#: ``pickle.loads`` on a hostile buffer is an RCE otherwise.
-ALLOWED_MODULE_PREFIXES = ("repro.", "fractions", "builtins", "collections")
+#: The exact ``(module, name)`` globals a trusted stream ever names:
+#: every engine's snapshot metadata and pages, the worker pool's query
+#: and explain results, and every daemon frame (query, ping, health,
+#: stats, error, degraded).  Anything else in a stream is damage, not
+#: data — ``pickle.loads`` on a hostile buffer is an RCE otherwise.
+#: ``Segment`` stays listed so format-2 snapshots written before
+#: segments pickled through ``_rebuild_segment`` still load.
+SAFE_GLOBALS = frozenset({
+    ("fractions", "Fraction"),
+    ("repro.geometry.point", "Point"),
+    ("repro.geometry.segment", "Segment"),
+    ("repro.geometry.segment", "_rebuild_segment"),
+    ("repro.geometry.query", "VerticalQuery"),
+    ("repro.geometry.linebased", "LineBasedSegment"),
+    ("repro.core.solution2.gtree", "GEntry"),
+    ("repro.core.solution2.slabs", "LongFragment"),
+    ("repro.core.recovery", "DegradedBatch"),
+    ("repro.core.recovery", "DegradedResult"),
+    ("repro.iosim.stats", "IOStats"),
+    ("repro.telemetry.explain", "ExplainReport"),
+    ("repro.telemetry.explain", "PhaseStats"),
+})
 
 
 class RestrictedUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str):
-        if module.split(".")[0] + "." in ALLOWED_MODULE_PREFIXES or module in (
-            "fractions", "builtins", "collections",
-        ):
+        # Exact pairs only: a dotted name (protocol 4 qualnames) would
+        # otherwise walk attributes out of an allowed module.
+        if (module, name) in SAFE_GLOBALS:
             return super().find_class(module, name)
         raise pickle.UnpicklingError(
             f"payload references forbidden global {module}.{name}"
@@ -96,7 +113,8 @@ class RestrictedUnpickler(pickle.Unpickler):
 
 
 def restricted_loads(payload: Union[bytes, memoryview], buffers=None):
-    """Unpickle with the module allowlist (out-of-band buffers allowed)."""
+    """Unpickle with the :data:`SAFE_GLOBALS` allowlist (out-of-band
+    buffers allowed)."""
     return RestrictedUnpickler(io.BytesIO(payload), buffers=buffers).load()
 
 

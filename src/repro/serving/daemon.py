@@ -27,8 +27,20 @@ and batch execution runs under a ``timed_span`` so an installed
 the pool's dispatch/attach/query spans.
 
 Wire format: 4-byte big-endian frame length, then a pickled dict.
-Inbound frames are decoded with the snapshot layer's *restricted*
-unpickler — a network peer gets the same allowlist a snapshot file gets.
+Values inside a frame pickle compactly: a
+:class:`~repro.geometry.VerticalQuery` as ``VerticalQuery(x, ylo,
+yhi)``, a :class:`~repro.geometry.Point` as ``Point(x, y)``, and a
+result :class:`~repro.geometry.Segment` as its five fields through
+``repro.geometry.segment._rebuild_segment(sx, sy, ex, ey, label)``,
+which re-checks every coordinate and recomputes the float cache.  Both
+ends decode frames with the snapshot layer's *restricted* unpickler, so
+a network peer gets the same exact ``(module, name)`` allowlist
+(:data:`~repro.iosim.arena.SAFE_GLOBALS`) a snapshot file gets; of it,
+frames use ``fractions.Fraction``, the three value types above and
+``DegradedBatch``/``DegradedResult`` for degraded answers.  A global
+outside the list — ``builtins.eval``, a dotted ``os.system`` reached through an
+allowed module — makes the frame undecodable, and the daemon answers
+``bad-frame`` without executing anything.
 :class:`ServeClient` is the blocking client used by the CLI and tests.
 """
 

@@ -99,6 +99,7 @@ class ShardedSegmentDatabase:
         self._phase_seconds: Dict[str, float] = {}
         self._task_wall_s = 0.0
         self._tasks = 0
+        self._result_bytes = 0
         self.slow_log: Optional[SlowQueryLog] = None
         # Degradation bookkeeping: batches that lost at least one shard
         # and the individual queries served with partial coverage.
@@ -342,6 +343,7 @@ class ShardedSegmentDatabase:
                 continue
             self._shard_stats[index] = self._shard_stats[index] + task.stats
             self._note_task(task.phases, task.wall_s)
+            self._result_bytes += task.result_bytes
             if self.slow_log is not None and task.slow_log:
                 self.slow_log.absorb(task.slow_log)
             out[index] = task.payload
@@ -386,8 +388,11 @@ class ShardedSegmentDatabase:
         synchronous mode: query only); ``task_wall_s`` is the parent-
         observed wall-clock those phases must explain, and
         ``phase_coverage`` is their ratio — the E17 acceptance pins it
-        within 10% of 1.  ``batches`` summarizes the per-call latency
-        histogram (p50/p95/p99).
+        within 10% of 1.  ``result_bytes`` sums the pickled result
+        payload plus out-of-band buffer bytes the workers shipped back
+        (0 in synchronous mode, where nothing crosses a process).
+        ``batches`` summarizes the per-call latency histogram
+        (p50/p95/p99).
         """
         phase_sum = sum(self._phase_seconds.values())
         return {
@@ -398,6 +403,7 @@ class ShardedSegmentDatabase:
             "task_wall_s": round(self._task_wall_s, 6),
             "phase_coverage": (round(phase_sum / self._task_wall_s, 4)
                                if self._task_wall_s else None),
+            "result_bytes": self._result_bytes,
             "batches": self.batch_latency.summary(),
         }
 

@@ -25,7 +25,14 @@ phases.  Worker responses are *encoded* exactly once: the serialize
 phase pickles the results with protocol 5, extracting buffer-protocol
 objects out-of-band, and the executor hop then carries opaque bytes it
 can only memcpy — the old double encoding (results pickled inside a
-response that gets pickled again) is gone.  Every task carries a
+response that gets pickled again) is gone.  Results stay lists of
+:class:`~repro.geometry.Segment`, and each segment pickles as its five
+fields — ``_rebuild_segment(sx, sy, ex, ey, label)`` — not as a slot
+dict with nested points and a float cache; the parent decodes them with
+:func:`~repro.iosim.restricted_loads`, whose exact allowlist
+(:data:`~repro.iosim.arena.SAFE_GLOBALS`) names that function.  Payload
+plus out-of-band bytes per task are counted in
+:attr:`WorkerTaskResult.result_bytes`.  Every task carries a
 :class:`~repro.telemetry.SpanContext`; the
 worker opens a :class:`~repro.telemetry.WallTracer` that *continues the
 parent's trace id* and records timed spans for
@@ -209,6 +216,7 @@ class WorkerTaskResult:
     failure: Optional[str] = None   # None when served; else the failure kind
     error: Optional[str] = None     # human-readable failure detail
     attempts: int = 1               # submissions consumed (retries included)
+    result_bytes: int = 0           # shipped result payload + out-of-band buffers
 
     @property
     def ok(self) -> bool:
@@ -469,6 +477,7 @@ class ShardWorkerPool:
             wall_s=wall_s,
             worker_pid=raw["pid"],
             slow_log=raw["slow_log"],
+            result_bytes=len(raw["payload"]) + sum(map(len, raw["buffers"])),
         )
 
     def health(self) -> dict:

@@ -8,6 +8,7 @@ timeline whose phases sum to the parent-observed task wall-clock.
 """
 
 import os
+import pickle
 
 import pytest
 
@@ -123,3 +124,17 @@ def test_no_tracer_means_no_span_overhead(snapshot):
         assert len(out) == len(queries)
         # Phase accounting still works without a tracer.
         assert served.latency_report()["tasks"] == 2
+
+
+def test_result_bytes_count_what_is_shipped(snapshot):
+    directory, queries = snapshot
+    with ShardedSegmentDatabase.open(directory, workers=1) as served:
+        served.query_batch(queries)
+        shipped = served.latency_report()["result_bytes"]
+        (task,) = served._pool.query_batches({0: queries[:6]}).values()
+        # The worker's protocol-5 result payload, byte for byte.
+        assert task.result_bytes == len(pickle.dumps(task.payload, protocol=5))
+    assert shipped > 0
+    with ShardedSegmentDatabase.open(directory, workers=0) as served:
+        served.query_batch(queries)
+        assert served.latency_report()["result_bytes"] == 0
